@@ -28,6 +28,7 @@ import (
 
 	"anyk/internal/bench"
 	"anyk/internal/loadgen"
+	"anyk/internal/query"
 	"anyk/internal/server"
 )
 
@@ -63,8 +64,12 @@ func main() {
 	defer stop()
 
 	if *setupFlag {
+		rels, err := setupRelations(*queryFlag)
+		if err != nil {
+			fatal(err)
+		}
 		if err := loadgen.Setup(*addrFlag, nil, server.DatasetRequest{
-			Name: *datasetFlag, Kind: "uniform", Relations: 3, N: *setupNFlag, Seed: 7,
+			Name: *datasetFlag, Kind: "uniform", Relations: rels, N: *setupNFlag, Seed: 7,
 		}); err != nil {
 			fatal(err)
 		}
@@ -101,6 +106,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: %d hard errors\n", res.Errors)
 		os.Exit(1)
 	}
+}
+
+// setupRelations is the number of relations -setup generates for the query
+// family: the distinct relation names of its atoms (R1..Rn).
+func setupRelations(family string) (int, error) {
+	q, err := query.ParseFamily(family)
+	if err != nil {
+		return 0, err
+	}
+	names := map[string]bool{}
+	for _, a := range q.Atoms {
+		names[a.Rel] = true
+	}
+	return len(names), nil
 }
 
 // parseMix parses "session=8,stats=1,upload=1".

@@ -49,7 +49,7 @@ func newBatch[W any](g *dpgraph.Graph[W], sorted bool) *batchEnum[W] {
 		si := serial[j]
 		st := g.Stages[si]
 		parentState := cur[st.Parent]
-		gi := g.Stages[st.Parent].States[parentState].Groups[st.Branch]
+		gi := g.Stages[st.Parent].ChildGroup(parentState, st.Branch)
 		grp := &st.Groups[gi]
 		for _, m := range grp.Members {
 			cur[si] = m
@@ -91,7 +91,7 @@ func Count[W any](g *dpgraph.Graph[W]) float64 {
 				if g.Stages[cs].Pruned {
 					continue
 				}
-				gi := st.States[s].Groups[b]
+				gi := st.ChildGroup(int32(s), b)
 				if gi < 0 {
 					dead = true
 					break

@@ -117,7 +117,7 @@ func (e *partEnum[W]) Next() (Solution[W], bool) {
 		si := e.g.Serial[j]
 		st := e.g.Stages[si]
 		parentState := e.cur[st.Parent]
-		gi := e.g.Stages[st.Parent].States[parentState].Groups[st.Branch]
+		gi := e.g.Stages[st.Parent].ChildGroup(parentState, st.Branch)
 		grp := &st.Groups[gi]
 		pg := &e.groups[si][gi]
 		if !pg.inited {
@@ -222,7 +222,7 @@ func (e *partEnum[W]) openBranches(stage int, state int32, j int) W {
 			continue
 		}
 		child := e.g.Stages[cs]
-		gi := st.States[state].Groups[b]
+		gi := st.ChildGroup(state, b)
 		w = d.Times(w, child.Groups[gi].Min)
 	}
 	return w

@@ -104,7 +104,7 @@ func (e *recEnum[W]) stateSolCost(stage int, state int32, rank int32) (W, bool) 
 	case 1:
 		b := branches[0]
 		cs := st.ChildStages[b]
-		gi := st.States[state].Groups[b]
+		gi := st.ChildGroup(state, b)
 		suf, ok := e.groupSol(cs, gi, rank)
 		if !ok {
 			var zero W
@@ -172,7 +172,7 @@ func (e *recEnum[W]) combCost(st *dpgraph.Stage[W], state int32, ranks []int32) 
 	cost := e.d.One()
 	for d, b := range st.UnprunedBranches {
 		cs := st.ChildStages[b]
-		gi := st.States[state].Groups[b]
+		gi := st.ChildGroup(state, b)
 		suf, ok := e.groupSol(cs, gi, ranks[d])
 		if !ok {
 			var zero W
@@ -254,7 +254,7 @@ func (e *recEnum[W]) materialize(stage int, state int32, rank int32) {
 	}
 	for d, b := range branches {
 		cs := st.ChildStages[b]
-		gi := st.States[state].Groups[b]
+		gi := st.ChildGroup(state, b)
 		// groupSol is idempotent; rank-0 entries seeded from precomputed
 		// group costs may not have been expanded yet, so force the memo.
 		suf, _ := e.groupSol(cs, gi, ranks[d])

@@ -31,7 +31,8 @@ type StageInput[W any] struct {
 	Prune   bool
 }
 
-// State is one DP state: a tuple of its stage.
+// State is one DP state: a tuple of its stage. Its child join-key groups
+// live in the stage's flat child-group block (see Stage.ChildGroup).
 type State[W any] struct {
 	// Weight is the lifted input weight w(s) of entering this state.
 	Weight W
@@ -42,9 +43,6 @@ type State[W any] struct {
 	// including Weight itself: Opt = Weight ⊗ ⊗_b Min(group_b) over all
 	// child branches (Eq. 7, shifted by one level).
 	Opt W
-	// Groups[b] is the index of this state's join-key group in child stage
-	// b's group table, or -1 when the state has no join partner there.
-	Groups []int32
 }
 
 // Group is a shared choice set: all states of a stage that agree on the join
@@ -52,9 +50,12 @@ type State[W any] struct {
 // same Group, so per-group data structures (sorted lists, heaps, suffix
 // memos) are shared exactly as in the paper's transformed equi-join graph.
 type Group[W any] struct {
-	// all holds every member (set at build time); Members holds the alive
-	// ones after the bottom-up pass, with Costs[i] = Opt(Members[i]).
-	all     []int32
+	// lo and hi bound the group's range in the stage's members block: every
+	// member, in ascending state order, set at build time.
+	lo, hi int32
+	// Members holds the alive members after the bottom-up pass, with
+	// Costs[i] = Opt(Members[i]). Both are carved out of per-stage blocks
+	// at the group's own offset, so a stage's groups share two allocations.
 	Members []int32
 	Costs   []W
 	// MinIdx is the position in Members of the cheapest member; Min is its
@@ -63,7 +64,9 @@ type Group[W any] struct {
 	Min    W
 }
 
-// Stage is one join-tree node's slice of the state space.
+// Stage is one join-tree node's slice of the state space, laid out as flat
+// per-stage blocks: States, Groups, the members block that Groups index
+// into, and the child-group block read through ChildGroup.
 type Stage[W any] struct {
 	Index  int
 	Name   string
@@ -86,7 +89,25 @@ type Stage[W any] struct {
 	JoinCols       []int
 	ParentJoinCols []int
 
-	groupIndex map[relation.Key]int32
+	// members holds every state grouped by join key: Groups[g] owns
+	// members[lo:hi]; pos is its inverse (state s sits at members[pos[s]]).
+	// alive and costs are the same size; BottomUp scatters each state's Opt
+	// to costs[pos[s]], then compacts every group's range in place and
+	// carves the group's Members and Costs out of alive and costs.
+	members []int32
+	pos     []int32
+	alive   []int32
+	costs   []W
+	// childGroups[s*len(ChildStages)+b] is state s's group in child branch
+	// b, or -1 (see ChildGroup).
+	childGroups []int32
+}
+
+// ChildGroup returns the index of state s's join-key group in the group
+// table of child branch b (the stage ChildStages[b]), or -1 when no row of
+// that stage joins with s.
+func (st *Stage[W]) ChildGroup(s int32, b int) int32 {
+	return st.childGroups[int(s)*len(st.ChildStages)+b]
 }
 
 // Graph is the full T-DP state space. Stages[0] is the artificial root with
@@ -105,15 +126,19 @@ type Graph[W any] struct {
 // Build constructs the state space from stage inputs. Inputs must be in
 // preorder: input i's Parent must be < i (or -1). outVars fixes the output
 // row layout; pass nil to emit all variables in first-binding order.
+//
+// Each stage is grouped as soon as it is created: one pass gives every row a
+// group id in first-seen order, a counting pass lays the groups out as
+// contiguous ranges of one members block, and one probe per parent state
+// fills the parent's child-group block for this branch. The key maps are
+// then reused for the next stage, so the finished graph holds no maps.
 func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*Graph[W], error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("dpgraph: no stage inputs")
 	}
-	g := &Graph[W]{D: d}
-	root := &Stage[W]{Index: 0, Name: "⊥root", Parent: -1}
-	root.States = []State[W]{{Weight: d.One(), EffWeight: d.One(), Opt: d.One()}}
-	g.Stages = append(g.Stages, root)
-
+	// Child counts fix every stage's child-group stride up front.
+	nchild := make([]int, len(inputs)+1)
+	maxRows := 0
 	for i, in := range inputs {
 		if in.Parent >= i {
 			return nil, fmt.Errorf("dpgraph: input %d (%s) has parent %d out of preorder", i, in.Name, in.Parent)
@@ -121,6 +146,19 @@ func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*
 		if len(in.Rows) != len(in.Weights) {
 			return nil, fmt.Errorf("dpgraph: input %s: %d rows but %d weights", in.Name, len(in.Rows), len(in.Weights))
 		}
+		nchild[in.Parent+1]++
+		maxRows = max(maxRows, len(in.Rows))
+	}
+	g := &Graph[W]{D: d, Stages: make([]*Stage[W], 0, len(inputs)+1)}
+	root := &Stage[W]{Index: 0, Name: "⊥root", Parent: -1}
+	root.States = []State[W]{{Weight: d.One(), EffWeight: d.One(), Opt: d.One()}}
+	root.childGroups = make([]int32, nchild[0])
+	g.Stages = append(g.Stages, root)
+
+	var keys keyGroups
+	gid := make([]int32, 0, maxRows) // per-row group ids, reused by every stage
+	for i, in := range inputs {
+		n := len(in.Rows)
 		st := &Stage[W]{
 			Index:  i + 1,
 			Name:   in.Name,
@@ -129,10 +167,11 @@ func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*
 			Parent: in.Parent + 1,
 			Pruned: in.Prune,
 		}
-		st.States = make([]State[W], len(in.Rows))
-		for r := range in.Rows {
-			st.States[r] = State[W]{Weight: in.Weights[r]}
+		st.States = make([]State[W], n)
+		for r, w := range in.Weights {
+			st.States[r].Weight = w
 		}
+		st.childGroups = make([]int32, n*nchild[st.Index])
 		parent := g.Stages[st.Parent]
 		st.Branch = len(parent.ChildStages)
 		parent.ChildStages = append(parent.ChildStages, st.Index)
@@ -143,45 +182,20 @@ func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*
 		jv := sharedVars(in.Vars, parent.Vars)
 		st.JoinCols = colsOf(in.Vars, jv)
 		st.ParentJoinCols = colsOf(parent.Vars, jv)
-		// Group this stage's states by join key.
-		st.groupIndex = make(map[relation.Key]int32, len(in.Rows))
-		for r, row := range in.Rows {
-			k := keyAt(row, st.JoinCols)
-			gi, ok := st.groupIndex[k]
-			if !ok {
-				gi = int32(len(st.Groups))
-				st.groupIndex[k] = gi
-				st.Groups = append(st.Groups, Group[W]{})
+
+		gid = keys.assign(in.Rows, st.JoinCols, gid[:0])
+		st.layoutGroups(gid, keys.n)
+
+		// Wire every parent state to its group in this branch.
+		stride := nchild[parent.Index]
+		for s := range parent.States {
+			var row []Value
+			if parent.Index != 0 {
+				row = parent.Rows[s]
 			}
-			st.Groups[gi].all = append(st.Groups[gi].all, int32(r))
+			parent.childGroups[s*stride+st.Branch] = keys.find(row, st.ParentJoinCols)
 		}
 		g.Stages = append(g.Stages, st)
-	}
-	// Wire parent states to child groups (per branch), now that all stages
-	// and group indexes exist.
-	for _, st := range g.Stages {
-		if len(st.ChildStages) == 0 {
-			continue
-		}
-		for s := range st.States {
-			st.States[s].Groups = make([]int32, len(st.ChildStages))
-		}
-		for b, cs := range st.ChildStages {
-			child := g.Stages[cs]
-			for s := range st.States {
-				var k relation.Key
-				if st.Index == 0 {
-					k = keyAt(nil, nil)
-				} else {
-					k = keyAt(st.Rows[s], child.ParentJoinCols)
-				}
-				if gi, ok := child.groupIndex[k]; ok {
-					st.States[s].Groups[b] = gi
-				} else {
-					st.States[s].Groups[b] = -1
-				}
-			}
-		}
 	}
 	// Serialized order of unpruned stages.
 	for _, st := range g.Stages[1:] {
@@ -191,6 +205,132 @@ func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*
 	}
 	g.buildOutput(outVars)
 	return g, nil
+}
+
+// layoutGroups lays the groups out by a counting pass: given every row's
+// group id, each group's members become one contiguous, ascending range of
+// the stage's members block. A group's hi first counts its rows, then serves
+// as the fill cursor and ends at the range's end.
+func (st *Stage[W]) layoutGroups(gid []int32, ngroups int32) {
+	n := len(gid)
+	st.Groups = make([]Group[W], ngroups)
+	for _, gi := range gid {
+		st.Groups[gi].hi++
+	}
+	off := int32(0)
+	for gi := range st.Groups {
+		grp := &st.Groups[gi]
+		size := grp.hi
+		grp.lo, grp.hi = off, off
+		off += size
+	}
+	st.members = make([]int32, n)
+	st.pos = make([]int32, n)
+	for r, gi := range gid {
+		grp := &st.Groups[gi]
+		st.members[grp.hi] = int32(r)
+		st.pos[r] = grp.hi
+		grp.hi++
+	}
+	st.alive = make([]int32, n)
+	st.costs = make([]W, n)
+}
+
+// keyGroups assigns join-key group ids in first-seen order, one stage at a
+// time. A one-column key probes a map[Value]int32. A wider key probes a
+// map[string]int32: assign encodes every row's key into one block and keys
+// the map by substrings of it, and find encodes its probe into a reused
+// scratch buffer, so neither allocates per key. A zero-column key needs no
+// map, since every row falls into the one group. The maps are cleared, not
+// reallocated, between stages. They get no size hint: a map sized for the
+// rows rather than the groups spreads its probes over a larger table, which
+// measured slower at join fan-out 10.
+type keyGroups struct {
+	one   map[Value]int32
+	multi map[string]int32
+	buf   []byte
+	n     int32 // groups of the current stage
+}
+
+// assign starts a new stage: it appends the group id of every row's key over
+// cols to gid, numbering new keys in first-seen order.
+func (k *keyGroups) assign(rows [][]Value, cols []int, gid []int32) []int32 {
+	k.n = 0
+	switch len(cols) {
+	case 0:
+		for range rows {
+			gid = append(gid, 0)
+		}
+		if len(rows) > 0 {
+			k.n = 1
+		}
+	case 1:
+		if k.one == nil {
+			k.one = make(map[Value]int32)
+		}
+		clear(k.one)
+		c := cols[0]
+		for _, row := range rows {
+			gi, ok := k.one[row[c]]
+			if !ok {
+				gi = k.n
+				k.one[row[c]] = gi
+				k.n++
+			}
+			gid = append(gid, gi)
+		}
+	default:
+		if k.multi == nil {
+			k.multi = make(map[string]int32)
+		}
+		clear(k.multi)
+		if cap(k.buf) < len(rows)*8*len(cols) {
+			k.buf = make([]byte, 0, len(rows)*8*len(cols))
+		}
+		k.buf = k.buf[:0]
+		for _, row := range rows {
+			k.encode(row, cols)
+		}
+		block, w := string(k.buf), 8*len(cols)
+		for r := range rows {
+			key := block[r*w : (r+1)*w]
+			gi, ok := k.multi[key]
+			if !ok {
+				gi = k.n
+				k.multi[key] = gi
+				k.n++
+			}
+			gid = append(gid, gi)
+		}
+	}
+	return gid
+}
+
+// find returns the group id of row's key over cols in the current stage, or
+// -1 when no row of the stage has that key.
+func (k *keyGroups) find(row []Value, cols []int) int32 {
+	switch len(cols) {
+	case 0:
+		return k.n - 1 // 0 when the stage has rows, -1 when it is empty
+	case 1:
+		if gi, ok := k.one[row[cols[0]]]; ok {
+			return gi
+		}
+		return -1
+	}
+	k.buf = k.buf[:0]
+	k.encode(row, cols)
+	if gi, ok := k.multi[string(k.buf)]; ok {
+		return gi
+	}
+	return -1
+}
+
+// encode appends the key of row over cols to the scratch buffer.
+func (k *keyGroups) encode(row []Value, cols []int) {
+	for _, c := range cols {
+		k.buf = relation.AppendKeyBytes(k.buf, row[c])
+	}
 }
 
 func (g *Graph[W]) buildOutput(outVars []string) {
@@ -296,18 +436,4 @@ func colsOf(vars []string, want []string) []int {
 		}
 	}
 	return cols
-}
-
-func keyAt(row []Value, cols []int) relation.Key {
-	if len(cols) == 0 {
-		return relation.MakeKey(nil)
-	}
-	if len(cols) == 1 {
-		return relation.Key1(row[cols[0]])
-	}
-	vals := make([]Value, len(cols))
-	for i, c := range cols {
-		vals[i] = row[c]
-	}
-	return relation.MakeKey(vals)
 }

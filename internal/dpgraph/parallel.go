@@ -62,7 +62,7 @@ func (g *Graph[W]) BottomUpP(workers int) W {
 				for b, cs := range st.ChildStages {
 					child := g.Stages[cs]
 					m := zero
-					if gi := state.Groups[b]; gi >= 0 {
+					if gi := st.ChildGroup(int32(s), b); gi >= 0 {
 						m = child.Groups[gi].Min
 					}
 					opt = d.Times(opt, m)
@@ -72,20 +72,29 @@ func (g *Graph[W]) BottomUpP(workers int) W {
 				}
 				state.Opt = opt
 				state.EffWeight = eff
+				if idx > 0 {
+					st.costs[st.pos[s]] = opt
+				}
 			}
 		})
 		if idx == 0 {
 			break
 		}
+		// The pass above left every member's Opt at its members-block
+		// position in costs, so each group reads its range sequentially.
+		// Members and Costs start empty at the group's own offset with its
+		// size as capacity: the appends below never reallocate, never reach
+		// a neighbouring group's range, and write Costs no further than they
+		// have read it.
 		parallelFor(workers, len(st.Groups), func(lo, hi int) {
 			for gi := lo; gi < hi; gi++ {
 				grp := &st.Groups[gi]
-				grp.Members = grp.Members[:0]
-				grp.Costs = grp.Costs[:0]
+				grp.Members = st.alive[grp.lo:grp.lo:grp.hi]
+				grp.Costs = st.costs[grp.lo:grp.lo:grp.hi]
 				grp.Min = zero
 				grp.MinIdx = -1
-				for _, m := range grp.all {
-					c := st.States[m].Opt
+				for p := grp.lo; p < grp.hi; p++ {
+					m, c := st.members[p], st.costs[p]
 					if !d.Less(c, zero) {
 						continue // dead state
 					}

@@ -373,12 +373,11 @@ func EnumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], ou
 		out := make([]unionGraph[W], 0, len(trees))
 		for i, inputs := range trees {
 			treeSpan := opt.Tracer.BeginChild(buildSpan, fmt.Sprintf("tree-%d", i))
-			g, err := dpgraph.Build[W](d, inputs, outVars)
+			g, err := buildGraph(d, inputs, outVars, 1, opt.Tracer, treeSpan)
+			opt.Tracer.End(treeSpan)
 			if err != nil {
 				return nil, fmt.Errorf("tree %d: %w", i, err)
 			}
-			g.BottomUp()
-			opt.Tracer.End(treeSpan)
 			out = append(out, unionGraph[W]{g: g, tree: i})
 		}
 		return out, nil

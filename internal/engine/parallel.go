@@ -99,6 +99,22 @@ func enumerateParallel[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W],
 	return &Iterator[W]{Vars: outVars, it: it, Trees: len(trees), Shards: len(iters), closer: m.Close, trace: opt.Tracer, delays: opt.Tracer.DelayBuf(), born: time.Now()}, nil
 }
 
+// buildGraph builds one tree's (or shard's) state space and runs the
+// bottom-up pass over workers, recording each step as a child span of
+// parent on tr: "dpgraph.build" and "bottom-up".
+func buildGraph[W any](d dioid.Dioid[W], inputs []dpgraph.StageInput[W], outVars []string, workers int, tr *obs.Trace, parent obs.SpanID) (*dpgraph.Graph[W], error) {
+	sp := tr.BeginChild(parent, "dpgraph.build")
+	g, err := dpgraph.Build[W](d, inputs, outVars)
+	tr.End(sp)
+	if err != nil {
+		return nil, err
+	}
+	sp = tr.BeginChild(parent, "bottom-up")
+	g.BottomUpP(workers)
+	tr.End(sp)
+	return g, nil
+}
+
 // buildShardGraphs shards every tree and runs build + bottom-up for all
 // shards across a worker pool of size p. When sharding degenerated (fewer
 // shards than workers), the spare workers go into the per-stage DP
@@ -133,14 +149,13 @@ func buildShardGraphs[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], 
 			defer wg.Done()
 			defer func() { <-sem }()
 			sp := tr.BeginChild(parent, fmt.Sprintf("shard-%d", i))
-			g, err := dpgraph.Build[W](d, shards[i].inputs, outVars)
+			g, err := buildGraph(d, shards[i].inputs, outVars, workersPer, tr, sp)
+			tr.End(sp)
 			if err != nil {
 				errs[i] = fmt.Errorf("tree %d: %w", shards[i].tree, err)
 				return
 			}
-			g.BottomUpP(workersPer)
 			graphs[i] = unionGraph[W]{g: g, tree: shards[i].tree}
-			tr.End(sp)
 		}(i)
 	}
 	wg.Wait()

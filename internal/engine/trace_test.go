@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"anyk/internal/core"
@@ -63,6 +64,36 @@ func TestTraceCoversPhasesSerialAndParallel(t *testing.T) {
 			if p > 1 {
 				if _, ok := names["shard-0"]; !ok {
 					t.Fatalf("parallel build has no shard child spans: %v", names)
+				}
+			}
+			// Every per-tree (serial) or per-shard (parallel) build span
+			// splits into the DP build and the bottom-up pass.
+			unit := "tree-"
+			if p > 1 {
+				unit = "shard-"
+			}
+			kids := map[int][]string{}
+			units := 0
+			for _, sp := range s.Spans {
+				if strings.HasPrefix(sp.Name, unit) {
+					units++
+					if sp.Parent < 0 || s.Spans[sp.Parent].Name != "build" {
+						t.Fatalf("span %q is not a child of build", sp.Name)
+					}
+				}
+				if sp.Name == "dpgraph.build" || sp.Name == "bottom-up" {
+					if sp.Parent < 0 || !strings.HasPrefix(s.Spans[sp.Parent].Name, unit) {
+						t.Fatalf("span %q is not a child of a %s* span", sp.Name, unit)
+					}
+					kids[sp.Parent] = append(kids[sp.Parent], sp.Name)
+				}
+			}
+			if units == 0 || len(kids) != units {
+				t.Fatalf("%d %s* spans, %d with build children", units, unit, len(kids))
+			}
+			for id, k := range kids {
+				if fmt.Sprint(k) != "[dpgraph.build bottom-up]" {
+					t.Fatalf("span %q has children %v", s.Spans[id].Name, k)
 				}
 			}
 			if s.Delays.Count < uint64(n-1) {
